@@ -69,3 +69,60 @@ class TestCheckerCatches:
             "README.md", "--tenants and --benchmark-only",
             {"--tenants"}, problems)
         assert problems == []
+
+    # ROADMAP.md's "## Open items" lists flags still to be built; only
+    # that section of that doc is exempt from the flag check.
+    PLANNED = ("# Roadmap\n"
+               "## Open items\n"
+               "- build `repro bench --not-built-yet`\n"
+               "## Recent\n")
+
+    def test_planned_flag_in_roadmap_open_items_passes(self):
+        problems = []
+        check_docs.check_flags(
+            "ROADMAP.md", self.PLANNED, {"--tenants"}, problems)
+        assert problems == []
+
+    def test_same_flag_in_roadmap_recent_is_reported(self):
+        problems = []
+        check_docs.check_flags(
+            "ROADMAP.md",
+            self.PLANNED + "- shipped `repro bench --not-built-yet`\n",
+            {"--tenants"}, problems)
+        assert len(problems) == 1
+        assert problems[0].startswith("ROADMAP.md:5:")
+        assert "--not-built-yet" in problems[0]
+
+    def test_flag_before_roadmap_open_items_is_reported(self):
+        problems = []
+        check_docs.check_flags(
+            "ROADMAP.md", "north star: --not-built-yet\n" + self.PLANNED,
+            {"--tenants"}, problems)
+        assert len(problems) == 1
+        assert problems[0].startswith("ROADMAP.md:1:")
+
+    def test_open_items_in_other_docs_is_still_checked(self):
+        for relpath in ("docs/qos.md", "README.md", "CHANGES.md"):
+            problems = []
+            check_docs.check_flags(
+                relpath, self.PLANNED, {"--tenants"}, problems)
+            assert len(problems) == 1, relpath
+            assert problems[0].startswith(f"{relpath}:3:")
+
+    def test_subheading_does_not_end_open_items(self):
+        problems = []
+        check_docs.check_flags(
+            "ROADMAP.md",
+            "## Open items\n### Perf\n- `--not-built-yet`\n",
+            {"--tenants"}, problems)
+        assert problems == []
+
+    def test_broken_link_in_roadmap_open_items_is_reported(self):
+        problems = []
+        check_docs.check_links(
+            "ROADMAP.md",
+            "## Open items\n- see [plan](docs/no-such-plan.md)\n",
+            problems)
+        assert len(problems) == 1
+        assert problems[0].startswith("ROADMAP.md:2:")
+        assert "no-such-plan" in problems[0]
