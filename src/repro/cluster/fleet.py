@@ -14,9 +14,11 @@ Construction order matters and is pinned here:
 1. the shared :class:`~repro.sim.audit.Auditor` (when auditing) —
    before any lock exists, so every primitive registers;
 2. backend devices, each with its own registry;
-3. fault engines and multi-tenant QoS managers, attached to the
-   backends — *before* any host, because CROSS-LIB snapshots
-   ``device.qos`` when the runtime is built;
+3. multi-tenant QoS managers (when there is more than one tenant),
+   attached to the backends — *before* any host, because CROSS-LIB
+   snapshots ``device.qos`` when the runtime is built.  No fault engine
+   is attached: :class:`FleetConfig` has no fault field, so a fleet
+   always runs on healthy backends;
 4. hosts (shared sim, per-host registry, disjoint inode namespaces),
    then their files and tenant-stream registrations.
 
@@ -155,16 +157,7 @@ def _fleet_audit(auditor: Auditor, hosts: List[Host],
     for host in hosts:
         kernel = host.kernel
         auditor.check_now(kernel)
-        for inode_id, bm in kernel.vfs._inflight.items():
-            if bm.count_set():
-                auditor.violations.append(
-                    f"{host.name}: inflight bitmap not empty for "
-                    f"inode {inode_id}")
-        for inode_id, bm in kernel.vfs._planned.items():
-            if bm.count_set():
-                auditor.violations.append(
-                    f"{host.name}: planned bitmap not empty for "
-                    f"inode {inode_id}")
+        auditor.check_fill_leaks(kernel, prefix=f"{host.name}: ")
     # Global byte conservation: the auditor's fill counter spans every
     # host, so the equality holds only over the *sum* of backends.
     consumed = sum(d.stats.read_bytes + d.stats.failed_read_bytes

@@ -97,11 +97,6 @@ class MarkovPredictor:
             return None
         return PrefetchPlan(start, count, backward=False)
 
-    # introspection helpers ---------------------------------------------------
-
-    def transition_count(self) -> int:
-        return sum(sum(c.values()) for c in self._transitions.values())
-
 
 class HybridPredictor:
     """Counter predictor for runs, Markov table for the jumps between

@@ -46,10 +46,6 @@ class RepairItem:
     runs: tuple[tuple[int, int], ...]
     label: str = ""
 
-    @property
-    def nblocks(self) -> int:
-        return sum(n for _s, n in self.runs)
-
 
 @dataclass
 class RepairPlan:
@@ -62,10 +58,6 @@ class RepairPlan:
         runs = [(s, n) for s, n in runs if n > 0]
         if runs:
             self.items.append(RepairItem(path, tuple(runs), label))
-
-    @property
-    def total_blocks(self) -> int:
-        return sum(item.nblocks for item in self.items)
 
 
 class RepairPrefetcher:

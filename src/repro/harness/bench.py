@@ -9,7 +9,7 @@ from :attr:`Simulator.events_processed`):
 * ``engine_timeout`` — raw engine throughput: processes yielding pooled
   timeouts, nothing else.  Isolates layer-1 (engine) optimizations.
 * ``engine_locks`` — engine + sync primitives: contended Lock/RwLock
-  round-trips.  Isolates the fast/slow lock dispatch.
+  round-trips.  Isolates the primitives' acquire/release paths.
 * ``fig5_quick`` — the Fig. 5 microbenchmark at the ``repro check``
   quick preset.  The representative end-to-end number; the regression
   gate in CI tracks this one hardest.

@@ -302,11 +302,6 @@ class CrossOS:
         info.prefetch_disabled = state.prefetch_disabled
         if span is not None:
             span.end(submitted=submitted, cached=info.cached_pages)
-        if vfs.tracer is not None:
-            vfs.tracer.record(sim.now, "readahead_info",
-                              inode=inode.id, block=b0, count=count,
-                              submitted=submitted,
-                              cached=info.cached_pages)
         return info
 
     def _prefetch(self, inode: Inode,

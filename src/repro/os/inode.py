@@ -44,9 +44,10 @@ class Inode:
                                mem, registry)
         self.rwlock = RwLock(sim, name=f"inode[{self.id}]",
                              stats=registry.lock_stats("inode"))
-        # Fill-path state, held on the inode so the read hot path does
-        # not pay a per-read dict lookup keyed on inode id.  The VFS
-        # mirrors these in id-keyed dicts for auditing and teardown.
+        # Fill-path state: blocks with device I/O in progress, blocks a
+        # prefetch pipeline has claimed but not reached yet (demand reads
+        # wait on them for one pipeline step, then fetch them at blocking
+        # priority), and the condition fill waiters sleep on.
         self.inflight = BlockBitmap(self.blocks_of(size))
         self.planned = BlockBitmap(self.blocks_of(size))
         self.fill_cond = Condition(sim, f"fill[{self.id}]")
@@ -70,6 +71,8 @@ class Inode:
             raise ValueError(f"negative file size: {size}")
         self.size = size
         self.cache.resize(self.nblocks)
+        self.inflight.resize(self.nblocks)
+        self.planned.resize(self.nblocks)
 
     def __repr__(self) -> str:
         return f"Inode({self.id}, {self.path!r}, {self.size}B)"

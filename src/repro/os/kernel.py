@@ -142,7 +142,6 @@ class Kernel:
                 self.qos.adaptive = self.adaptive
         self.vfs = VFS(self.sim, self.device, self.mem, self.config,
                        self.registry, inode_id_start=inode_id_start)
-        self.vfs.tracer = tracer
         self.cross: Optional[CrossOS] = CrossOS(self.vfs) \
             if cross_enabled else None
         if self.auditor is not None:

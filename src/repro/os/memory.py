@@ -83,12 +83,6 @@ class MemoryManager:
         if self.used_pages < 0:
             raise RuntimeError("page accounting went negative")
 
-    def chunk_inserted(self, key: ChunkKey) -> None:
-        self.lru.inserted(key)
-
-    def chunk_touched(self, key: ChunkKey) -> None:
-        self.lru.touched(key)
-
     def chunk_removed(self, key: ChunkKey) -> None:
         self.lru.removed(key)
 
@@ -114,9 +108,6 @@ class MemoryManager:
                                   requested=npages, freed=freed,
                                   used_pages=self.used_pages)
         return freed
-
-    def cache_for(self, inode_id: int) -> Optional["PageCache"]:
-        return self._caches.get(inode_id)
 
     def notify_evicted(self, inode_id: int, start: int, nblocks: int) -> None:
         for hook in self.evict_hooks:

@@ -37,10 +37,6 @@ class MmapRegion:
         self.random_advice = True
         self.file.ra.set_random()
 
-    def madvise_normal(self) -> None:
-        self.random_advice = False
-        self.file.ra.set_normal()
-
     def access(self, offset: int, nbytes: int) -> Generator:
         """Load/store over [offset, offset+nbytes).
 

@@ -110,14 +110,6 @@ class VFS:
         self.registry = registry
         self._inodes: dict[str, Inode] = {}
         self._by_id: dict[int, Inode] = {}
-        # Blocks with device I/O in progress right now.
-        self._inflight: dict[int, BlockBitmap] = {}
-        # Blocks claimed by a large prefetch request whose pipeline has
-        # not reached them yet.  Demand reads IGNORE planned blocks (they
-        # fetch themselves at blocking priority, as the kernel would);
-        # only prefetch dedup honours them.
-        self._planned: dict[int, BlockBitmap] = {}
-        self._fill_cond: dict[int, Condition] = {}
         self._dirty_inodes: set[int] = set()
         # fincore/mincore serialize on the process mm lock (§2.1).
         self.mm_lock = Lock(sim, name="mm", stats=registry.lock_stats("mm"))
@@ -126,8 +118,6 @@ class VFS:
         # Simulator.run() terminates naturally.
         self._wb_kick = Condition(sim, "writeback_kick")
         self._flusher_proc = sim.process(self._flusher(), name="flusher")
-        # Optional event tracer (set by the Kernel when tracing is on).
-        self.tracer = None
         # Per-kernel id streams keep identically-seeded runs identical.
         # A fleet host starts its stream at a disjoint base so inode
         # ids (= device stream ids) never collide across hosts sharing
@@ -149,8 +139,8 @@ class VFS:
         self._cpu_copy = config.copy_per_page
         # Span observer, snapshotted once.  The kernel attaches the
         # observer to the registry before building subsystems (the same
-        # contract the sync fast/slow dispatch relies on), so the
-        # per-call ``self.registry.observer`` hop is avoidable.
+        # contract the sync primitives rely on), so the per-call
+        # ``self.registry.observer`` hop is avoidable.
         self._observer = registry.observer
 
     # -- namespace ----------------------------------------------------------
@@ -164,9 +154,6 @@ class VFS:
                       inode_id=next(self._inode_ids))
         self._inodes[path] = inode
         self._by_id[inode.id] = inode
-        self._inflight[inode.id] = inode.inflight
-        self._planned[inode.id] = inode.planned
-        self._fill_cond[inode.id] = inode.fill_cond
         durable = self.device.durable
         if durable is not None:
             # Evicting a dirty page counts as writeback (see
@@ -201,9 +188,6 @@ class VFS:
             inode.cache.evict_range(0, inode.nblocks)
         self.mem.forget_cache(inode.id)
         self._by_id.pop(inode.id, None)
-        self._inflight.pop(inode.id, None)
-        self._planned.pop(inode.id, None)
-        self._fill_cond.pop(inode.id, None)
         self._dirty_inodes.discard(inode.id)
         self.device.forget_stream(inode.id)
 
@@ -232,7 +216,6 @@ class VFS:
     def read(self, file: File, offset: int, nbytes: int,
              parent=None) -> Generator:
         """pread(2).  Returns a :class:`ReadResult`."""
-        cfg = self.config
         inode = file.inode
         cache = inode.cache
         self._c_reads.value += 1
@@ -265,8 +248,8 @@ class VFS:
             if ev is not None:
                 yield ev
             cpu += count * self._cpu_walk
-            inflight = inode.inflight
-            uncovered = self._uncovered_runs(cache, inflight, b0, count)
+            uncovered = self._uncovered_runs(cache, inode.inflight, b0,
+                                             count)
             marker = cache.ra_marker
             cache.tree_lock.release_read()
 
@@ -332,73 +315,14 @@ class VFS:
             # overlaps (the page-lock wait); fully-resident reads skip
             # the fill machinery entirely.
             if not cache.present.all_set(b0, count):
-                # Demand misses resume once per device completion, so
-                # frame depth is a per-event cost: the common case (no
-                # instrumentation, nothing planned by a prefetch
-                # pipeline) runs one fill batch inline instead of
-                # delegating through _fill_range -> _fill_runs, two
-                # generator frames that would otherwise sit on every
-                # resume.  Falls back to the general path to wait out
-                # overlapping fills.  Identical event sequence.
-                inflight = inode.inflight
-                if (span is None and self.tracer is None
-                        and self.sim.auditor is None
-                        and self.device.faults is None
-                        and inode.planned._count == 0):
-                    runs = self._uncovered_runs(cache, inflight, b0, count)
-                    if runs:
-                        cond = inode.fill_cond
-                        chunk_blocks = self._chunk_blocks
-                        for run_start, run_len in runs:
-                            inflight.set_range(run_start, run_len)
-                        try:
-                            events = []
-                            total_pages = 0
-                            device_read = self.device.read
-                            for run_start, run_len in runs:
-                                pos = run_start
-                                run_end = run_start + run_len
-                                while pos < run_end:
-                                    n = run_end - pos
-                                    if n > chunk_blocks:
-                                        n = chunk_blocks
-                                    events.append(device_read(
-                                        pos * bs, n * bs,
-                                        priority=BLOCKING,
-                                        stream=inode.id))
-                                    pos += n
-                                    total_pages += n
-                            yield self.sim.all_of(events)
-                            ev = cache.tree_lock.acquire_write()
-                            if ev is not None:
-                                yield ev
-                            yield self.sim.timeout(
-                                total_pages * cfg.tree_insert_per_block)
-                            for run_start, run_len in runs:
-                                cache.insert_range(run_start, run_len)
-                            cache.tree_lock.release_write()
-                        finally:
-                            for run_start, run_len in runs:
-                                inflight.clear_range(run_start, run_len)
-                            cond.notify_all()
-                    if not cache.present.all_set(b0, count):
-                        yield from self._fill_range(inode, b0, count,
-                                                    priority=BLOCKING,
-                                                    honor_planned=True,
-                                                    parent=span)
-                else:
-                    yield from self._fill_range(inode, b0, count,
-                                                priority=BLOCKING,
-                                                honor_planned=True,
-                                                parent=span)
+                yield from self._fill_range(inode, b0, count,
+                                            priority=BLOCKING,
+                                            honor_planned=True,
+                                            parent=span)
         finally:
             inode.rwlock.release_read()
             if span is not None:
                 span.end(hits=hit_pages, misses=miss_pages)
-        if self.tracer is not None:
-            self.tracer.record(self.sim.now, "read", inode=inode.id,
-                               block=b0, count=count, hits=hit_pages,
-                               misses=miss_pages)
         return ReadResult(nbytes, hit_pages, miss_pages)
 
     def read_seq(self, file: File, nbytes: int) -> Generator:
@@ -423,8 +347,6 @@ class VFS:
             end = offset + nbytes
             if end > inode.size:
                 inode.set_size(end)
-                self._inflight[inode.id].resize(inode.nblocks)
-                self._planned[inode.id].resize(inode.nblocks)
             b0 = offset // cfg.block_size
             count = inode.blocks_of(end) - b0
             yield cache.tree_lock.acquire_write()
@@ -783,17 +705,12 @@ class VFS:
                 inflight.clear_range(run_start, run_len)
             cond.notify_all()
             if span is not None:
-                span.end(pages=total_pages)
+                if exc is None:
+                    span.end(pages=total_pages)
+                else:
+                    span.end(pages=total_pages, error=exc.code)
         if exc is not None:
-            if self.tracer is not None and runs:
-                self.tracer.record(self.sim.now, "fill_failed",
-                                   inode=inode.id, block=runs[0][0],
-                                   error=exc.code)
             raise exc
-        if self.tracer is not None and runs:
-            self.tracer.record(self.sim.now, "fill", inode=inode.id,
-                               block=runs[0][0], pages=total_pages,
-                               prefetch=prefetch)
         return total_pages
 
     def plan_runs(self, inode: Inode, runs: list[tuple[int, int]]) -> None:

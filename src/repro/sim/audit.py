@@ -345,6 +345,18 @@ class Auditor:
                         f"qos bucket for tenant {name!r} overdrawn: "
                         f"{state.bucket.tokens} tokens")
 
+    def check_fill_leaks(self, kernel: "Kernel", prefix: str = "") -> None:
+        """Record every live inode whose inflight or planned fill bitmap
+        is not empty (a fill or prefetch pipeline that never cleaned
+        up).  ``prefix`` names the host in a fleet."""
+        for inode_id, inode in kernel.vfs._by_id.items():
+            if inode.inflight.count_set():
+                self.violations.append(f"{prefix}inflight bitmap not "
+                                       f"empty for inode {inode_id}")
+            if inode.planned.count_set():
+                self.violations.append(f"{prefix}planned bitmap not "
+                                       f"empty for inode {inode_id}")
+
     def final_check(self, kernel: Optional["Kernel"] = None) -> None:
         """End-of-run audit; raises :class:`AuditError` on violations.
 
@@ -373,14 +385,7 @@ class Auditor:
                 if util > 1.0 + 1e-9:
                     self.violations.append(
                         f"device channel utilization {util:.3f} > 1.0")
-            for inode_id, bm in kernel.vfs._inflight.items():
-                if bm.count_set():
-                    self.violations.append(
-                        f"inflight bitmap not empty for inode {inode_id}")
-            for inode_id, bm in kernel.vfs._planned.items():
-                if bm.count_set():
-                    self.violations.append(
-                        f"planned bitmap not empty for inode {inode_id}")
+            self.check_fill_leaks(kernel)
             qos = getattr(kernel, "qos", None)
             if qos is not None:
                 for name, state in qos.tenants.items():

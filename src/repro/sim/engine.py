@@ -67,6 +67,9 @@ _getrefcount = getattr(sys, "getrefcount", None)
 
 _TIMEOUT_POOL_CAP = 512
 
+# run()'s horizon when no ``until`` is given.
+_INF = float("inf")
+
 
 class SimulationError(Exception):
     """Raised for illegal engine operations (double-trigger, bad yields)."""
@@ -533,7 +536,9 @@ class Simulator:
         common case for pure-timeout stretches — the only extra work
         versus a plain heap loop is two slot stores and one truthiness
         check per event.  The engine spends most of its self-time here,
-        so locals are hoisted and both loop variants are inlined.
+        so locals are hoisted.  One loop serves bounded and unbounded
+        runs: without ``until`` the horizon is infinite, so its compare
+        never stops the loop.
         """
         heap = self._heap
         fifo = self._cur_fifo
@@ -542,135 +547,75 @@ class Simulator:
         timeout_t = Timeout
         getref = _getrefcount
         cap = _TIMEOUT_POOL_CAP
+        horizon = _INF if until is None else until
         processed = 0
         try:
-            if until is None:
-                # Unbounded run (the normal experiment case): no horizon
-                # compare in the loop — it is a per-event cost.
-                while heap:
-                    at, _seq, event = pop(heap)
-                    self.now = at
-                    self._cur_at = at
-                    while True:
-                        processed += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        event._processed = True
-                        if callbacks is not None:
-                            if type(callbacks) is list:
-                                for cb in callbacks:
-                                    cb(event)
-                            else:
-                                callbacks(event)
-                        elif not event._ok:
-                            raise event._value
-                        if (
-                            type(event) is timeout_t
-                            and getref is not None
-                            and getref(event) == 2
-                            and len(pool) < cap
-                        ):
-                            pool.append(event)
-                        # Once wakeups land in the bucket, the rest of
-                        # the heap events at this instant must dispatch
-                        # before it (lower seq — scheduled before the
-                        # instant went live).
-                        if fifo and heap and heap[0][0] == at:
-                            _at, _s, event = pop(heap)
-                            continue
-                        break
-                    if fifo:
-                        pos = 0
-                        try:
-                            while pos < len(fifo):
-                                event = fifo[pos]
-                                pos += 1
-                                processed += 1
-                                callbacks = event.callbacks
-                                event.callbacks = None
-                                event._processed = True
-                                if callbacks is not None:
-                                    if type(callbacks) is list:
-                                        for cb in callbacks:
-                                            cb(event)
-                                    else:
-                                        callbacks(event)
-                                elif not event._ok:
-                                    raise event._value
-                                if (
-                                    type(event) is timeout_t
-                                    and getref is not None
-                                    # `event` local + getrefcount arg +
-                                    # the bucket slot it occupies.
-                                    and getref(event) == 3
-                                    and len(pool) < cap
-                                ):
-                                    pool.append(event)
-                        except BaseException:
-                            self._flush_cur_fifo(pos)
-                            raise
-                        fifo.clear()
-            else:
-                while heap:
-                    if heap[0][0] > until:
-                        self.now = until
-                        break
-                    at, _seq, event = pop(heap)
-                    self.now = at
-                    self._cur_at = at
-                    while True:
-                        processed += 1
-                        callbacks = event.callbacks
-                        event.callbacks = None
-                        event._processed = True
-                        if callbacks is not None:
-                            if type(callbacks) is list:
-                                for cb in callbacks:
-                                    cb(event)
-                            else:
-                                callbacks(event)
-                        elif not event._ok:
-                            raise event._value
-                        if (
-                            type(event) is timeout_t
-                            and getref is not None
-                            and getref(event) == 2
-                            and len(pool) < cap
-                        ):
-                            pool.append(event)
-                        if fifo and heap and heap[0][0] == at:
-                            _at, _s, event = pop(heap)
-                            continue
-                        break
-                    if fifo:
-                        pos = 0
-                        try:
-                            while pos < len(fifo):
-                                event = fifo[pos]
-                                pos += 1
-                                processed += 1
-                                callbacks = event.callbacks
-                                event.callbacks = None
-                                event._processed = True
-                                if callbacks is not None:
-                                    if type(callbacks) is list:
-                                        for cb in callbacks:
-                                            cb(event)
-                                    else:
-                                        callbacks(event)
-                                elif not event._ok:
-                                    raise event._value
-                                if (
-                                    type(event) is timeout_t
-                                    and getref is not None
-                                    and getref(event) == 3
-                                    and len(pool) < cap
-                                ):
-                                    pool.append(event)
-                        except BaseException:
-                            self._flush_cur_fifo(pos)
-                            raise
-                        fifo.clear()
+            while heap:
+                if heap[0][0] > horizon:
+                    self.now = until
+                    break
+                at, _seq, event = pop(heap)
+                self.now = at
+                self._cur_at = at
+                while True:
+                    processed += 1
+                    callbacks = event.callbacks
+                    event.callbacks = None
+                    event._processed = True
+                    if callbacks is not None:
+                        if type(callbacks) is list:
+                            for cb in callbacks:
+                                cb(event)
+                        else:
+                            callbacks(event)
+                    elif not event._ok:
+                        raise event._value
+                    if (
+                        type(event) is timeout_t
+                        and getref is not None
+                        and getref(event) == 2
+                        and len(pool) < cap
+                    ):
+                        pool.append(event)
+                    # Once wakeups land in the bucket, the rest of the
+                    # heap events at this instant must dispatch before it
+                    # (lower seq — scheduled before the instant went
+                    # live).
+                    if fifo and heap and heap[0][0] == at:
+                        _at, _s, event = pop(heap)
+                        continue
+                    break
+                if fifo:
+                    pos = 0
+                    try:
+                        while pos < len(fifo):
+                            event = fifo[pos]
+                            pos += 1
+                            processed += 1
+                            callbacks = event.callbacks
+                            event.callbacks = None
+                            event._processed = True
+                            if callbacks is not None:
+                                if type(callbacks) is list:
+                                    for cb in callbacks:
+                                        cb(event)
+                                else:
+                                    callbacks(event)
+                            elif not event._ok:
+                                raise event._value
+                            if (
+                                type(event) is timeout_t
+                                and getref is not None
+                                # `event` local + getrefcount arg + the
+                                # bucket slot it occupies.
+                                and getref(event) == 3
+                                and len(pool) < cap
+                            ):
+                                pool.append(event)
+                    except BaseException:
+                        self._flush_cur_fifo(pos)
+                        raise
+                    fifo.clear()
         except BaseException:
             if self._cur_at >= 0.0 and fifo:
                 # A dispatch raised before the bucket drain began:

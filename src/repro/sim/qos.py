@@ -349,9 +349,6 @@ class QosManager:
         state.streams.add(stream)
         return state
 
-    def tenant_of(self, stream: int) -> Optional[TenantState]:
-        return self._stream_tenant.get(stream)
-
     def _tenant_or_register(self, stream: int) -> TenantState:
         state = self._stream_tenant.get(stream)
         if state is None:

@@ -12,16 +12,15 @@ every primitive additionally reports acquire/block/grant/release
 transitions so the auditor can maintain its wait-for graph (deadlock
 detection), lock-order history, and leak checks.
 
-Fast/slow dispatch: whether a primitive needs the auditor hooks and the
-span-observer hooks is known the moment it is constructed — the kernel
-wires ``sim.auditor`` and ``registry.attach_observer`` *before* building
-any subsystem (see ``Kernel.__init__`` ordering), and both stay fixed
-for the kernel's lifetime.  So each primitive selects bound fast or slow
-method implementations once in ``__init__`` instead of re-checking
-``auditor is not None`` / ``stats.observer is not None`` on every
-operation.  The fast variants still record :class:`LockStats` (wait and
-hold totals are experiment outputs, not diagnostics); only the auditor
-and observer hooks are compiled out.
+One code path: each primitive has a single ``acquire*``/``release*``
+implementation for plain, audited and traced runs alike, so the audit
+and the span trace check the same code whose numbers get reported.  The
+auditor (``sim.auditor``) and the span observer (``stats.observer``)
+are captured once in ``__init__`` — the kernel wires both *before*
+building any subsystem (see ``Kernel.__init__`` ordering) and they stay
+fixed for the kernel's lifetime — and each hook is one ``is not None``
+check inline.  :class:`LockStats` wait and hold totals are recorded
+either way: they are experiment outputs, not diagnostics.
 
 Usage inside a process generator::
 
@@ -47,16 +46,11 @@ from repro.sim.stats import LockStats
 __all__ = ["Condition", "Lock", "Queue", "RwLock", "Semaphore"]
 
 
-def _use_fast_path(sim: Simulator, stats: Optional[LockStats]) -> bool:
-    """True when neither auditor nor span observer hooks are needed."""
-    return sim.auditor is None and (stats is None or stats.observer is None)
-
-
 class Lock:
     """A mutual-exclusion lock with FIFO granting."""
 
     __slots__ = ("sim", "name", "stats", "_locked", "_waiters",
-                 "_acquired_at", "acquire", "release")
+                 "_acquired_at", "_auditor", "_observer")
 
     def __init__(self, sim: Simulator, name: str = "lock",
                  stats: Optional[LockStats] = None):
@@ -66,14 +60,10 @@ class Lock:
         self._locked = False
         self._waiters: Deque[tuple[Event, float]] = deque()
         self._acquired_at = 0.0
-        if _use_fast_path(sim, stats):
-            self.acquire = self._acquire_fast
-            self.release = self._release_fast
-        else:
-            self.acquire = self._acquire_slow
-            self.release = self._release_slow
-        if sim.auditor is not None:
-            sim.auditor.lock_registered(self)
+        self._auditor = sim.auditor
+        self._observer = stats.observer if stats is not None else None
+        if self._auditor is not None:
+            self._auditor.lock_registered(self)
 
     @property
     def locked(self) -> bool:
@@ -83,71 +73,43 @@ class Lock:
     # resumes the process with no event-heap traffic) or an event that
     # fires when the lock is eventually granted.
 
-    def _acquire_fast(self) -> Optional[Event]:
+    def acquire(self) -> Optional[Event]:
         if not self._locked:
             self._locked = True
             self._acquired_at = self.sim.now
-            stats = self.stats
-            if stats is not None:
-                stats.acquisitions += 1
+            if self.stats is not None:
+                self.stats.acquisitions += 1
+            if self._auditor is not None:
+                self._auditor.lock_acquired(self)
             return None
         ev = Event(self.sim)
         self._waiters.append((ev, self.sim.now))
+        if self._auditor is not None:
+            self._auditor.lock_blocked(self, ev)
         return ev
 
-    def _release_fast(self) -> None:
+    def release(self) -> None:
         if not self._locked:
             raise SimulationError(f"release of unheld lock {self.name!r}")
-        sim = self.sim
+        now = self.sim.now
         stats = self.stats
+        obs = self._observer
         if stats is not None:
-            stats.total_hold += sim.now - self._acquired_at
-        if self._waiters:
-            ev, enqueued = self._waiters.popleft()
-            self._acquired_at = sim.now
-            if stats is not None:
-                stats.record_acquire(sim.now - enqueued)
-            ev.succeed()
-        else:
-            self._locked = False
-
-    def _acquire_slow(self) -> Optional[Event]:
-        if not self._locked:
-            self._locked = True
-            self._acquired_at = self.sim.now
-            if self.stats is not None:
-                self.stats.record_acquire(0.0)
-            if self.sim.auditor is not None:
-                self.sim.auditor.lock_acquired(self)
-            return None
-        ev = Event(self.sim)
-        self._waiters.append((ev, self.sim.now))
-        if self.sim.auditor is not None:
-            self.sim.auditor.lock_blocked(self, ev)
-        return ev
-
-    def _release_slow(self) -> None:
-        if not self._locked:
-            raise SimulationError(f"release of unheld lock {self.name!r}")
-        if self.stats is not None:
-            self.stats.record_hold(self.sim.now - self._acquired_at)
-            obs = self.stats.observer
+            stats.total_hold += now - self._acquired_at
             if obs is not None:
-                obs.lock_hold(self.stats.category, self._acquired_at,
+                obs.lock_hold(stats.category, self._acquired_at,
                               lock=self.name)
-        if self.sim.auditor is not None:
-            self.sim.auditor.lock_released(self)
+        if self._auditor is not None:
+            self._auditor.lock_released(self)
         if self._waiters:
             ev, enqueued = self._waiters.popleft()
-            self._acquired_at = self.sim.now
-            if self.stats is not None:
-                self.stats.record_acquire(self.sim.now - enqueued)
-                obs = self.stats.observer
-                if obs is not None and self.sim.now > enqueued:
-                    obs.lock_wait(self.stats.category, enqueued,
-                                  lock=self.name)
-            if self.sim.auditor is not None:
-                self.sim.auditor.lock_granted(self, ev)
+            self._acquired_at = now
+            if stats is not None:
+                stats.record_acquire(now - enqueued)
+                if obs is not None and now > enqueued:
+                    obs.lock_wait(stats.category, enqueued, lock=self.name)
+            if self._auditor is not None:
+                self._auditor.lock_granted(self, ev)
             ev.succeed()
         else:
             self._locked = False
@@ -178,8 +140,7 @@ class RwLock:
 
     __slots__ = ("sim", "name", "stats", "_readers", "_writer",
                  "_wait_readers", "_wait_writers", "_writer_since",
-                 "_reader_since", "acquire_read", "acquire_write",
-                 "release_read", "release_write")
+                 "_reader_since", "_auditor", "_observer")
 
     def __init__(self, sim: Simulator, name: str = "rwlock",
                  stats: Optional[LockStats] = None):
@@ -193,18 +154,10 @@ class RwLock:
         self._writer_since = 0.0
         # Grant times of current read holders (FIFO-paired at release).
         self._reader_since: Deque[float] = deque()
-        if _use_fast_path(sim, stats):
-            self.acquire_read = self._acquire_read_fast
-            self.acquire_write = self._acquire_write_fast
-            self.release_read = self._release_read_fast
-            self.release_write = self._release_write_fast
-        else:
-            self.acquire_read = self._acquire_read_slow
-            self.acquire_write = self._acquire_write_slow
-            self.release_read = self._release_read_slow
-            self.release_write = self._release_write_slow
-        if sim.auditor is not None:
-            sim.auditor.lock_registered(self)
+        self._auditor = sim.auditor
+        self._observer = stats.observer if stats is not None else None
+        if self._auditor is not None:
+            self._auditor.lock_registered(self)
 
     @property
     def read_locked(self) -> bool:
@@ -217,116 +170,75 @@ class RwLock:
     # acquire_*() return None when granted immediately, else an event
     # (see Lock).
 
-    def _acquire_read_fast(self) -> Optional[Event]:
+    def acquire_read(self) -> Optional[Event]:
         if not self._writer and not self._wait_writers:
             self._readers += 1
-            stats = self.stats
-            if stats is not None:
-                stats.acquisitions += 1
+            if self.stats is not None:
+                self.stats.acquisitions += 1
                 self._reader_since.append(self.sim.now)
+            if self._auditor is not None:
+                self._auditor.lock_acquired(self, mode="read")
             return None
         ev = Event(self.sim)
         self._wait_readers.append((ev, self.sim.now))
+        if self._auditor is not None:
+            self._auditor.lock_blocked(self, ev, mode="read")
         return ev
 
-    def _acquire_write_fast(self) -> Optional[Event]:
+    def acquire_write(self) -> Optional[Event]:
         if not self._writer and self._readers == 0:
             self._writer = True
             self._writer_since = self.sim.now
-            stats = self.stats
-            if stats is not None:
-                stats.acquisitions += 1
+            if self.stats is not None:
+                self.stats.acquisitions += 1
+            if self._auditor is not None:
+                self._auditor.lock_acquired(self, mode="write")
             return None
         ev = Event(self.sim)
         self._wait_writers.append((ev, self.sim.now))
+        if self._auditor is not None:
+            self._auditor.lock_blocked(self, ev, mode="write")
         return ev
 
-    def _release_read_fast(self) -> None:
+    def release_read(self) -> None:
         if self._readers <= 0:
             raise SimulationError(f"release_read of unheld {self.name!r}")
         stats = self.stats
         if stats is not None and self._reader_since:
-            stats.total_hold += self.sim.now - self._reader_since.popleft()
+            since = self._reader_since.popleft()
+            stats.total_hold += self.sim.now - since
+            if self._observer is not None:
+                self._observer.lock_hold(stats.category, since,
+                                         lock=self.name)
+        if self._auditor is not None:
+            self._auditor.lock_released(self, mode="read")
         self._readers -= 1
         if self._readers == 0 and (self._wait_writers or self._wait_readers):
             self._grant()
 
-    def _release_write_fast(self) -> None:
+    def release_write(self) -> None:
         if not self._writer:
             raise SimulationError(f"release_write of unheld {self.name!r}")
         stats = self.stats
         if stats is not None:
             stats.total_hold += self.sim.now - self._writer_since
+            if self._observer is not None:
+                self._observer.lock_hold(stats.category, self._writer_since,
+                                         lock=self.name, writer=True)
+        if self._auditor is not None:
+            self._auditor.lock_released(self, mode="write")
         self._writer = False
         if self._wait_writers or self._wait_readers:
             self._grant()
 
-    def _acquire_read_slow(self) -> Optional[Event]:
-        if not self._writer and not self._wait_writers:
-            self._readers += 1
-            if self.stats is not None:
-                self.stats.record_acquire(0.0)
-                self._reader_since.append(self.sim.now)
-            if self.sim.auditor is not None:
-                self.sim.auditor.lock_acquired(self, mode="read")
-            return None
-        ev = Event(self.sim)
-        self._wait_readers.append((ev, self.sim.now))
-        if self.sim.auditor is not None:
-            self.sim.auditor.lock_blocked(self, ev, mode="read")
-        return ev
-
-    def _acquire_write_slow(self) -> Optional[Event]:
-        if not self._writer and self._readers == 0:
-            self._writer = True
-            self._writer_since = self.sim.now
-            if self.stats is not None:
-                self.stats.record_acquire(0.0)
-            if self.sim.auditor is not None:
-                self.sim.auditor.lock_acquired(self, mode="write")
-            return None
-        ev = Event(self.sim)
-        self._wait_writers.append((ev, self.sim.now))
-        if self.sim.auditor is not None:
-            self.sim.auditor.lock_blocked(self, ev, mode="write")
-        return ev
-
-    def _release_read_slow(self) -> None:
-        if self._readers <= 0:
-            raise SimulationError(f"release_read of unheld {self.name!r}")
-        if self.stats is not None and self._reader_since:
-            since = self._reader_since.popleft()
-            self.stats.record_hold(self.sim.now - since)
-            obs = self.stats.observer
-            if obs is not None:
-                obs.lock_hold(self.stats.category, since, lock=self.name)
-        if self.sim.auditor is not None:
-            self.sim.auditor.lock_released(self, mode="read")
-        self._readers -= 1
-        if self._readers == 0:
-            self._grant()
-
-    def _release_write_slow(self) -> None:
-        if not self._writer:
-            raise SimulationError(f"release_write of unheld {self.name!r}")
-        if self.stats is not None:
-            self.stats.record_hold(self.sim.now - self._writer_since)
-            obs = self.stats.observer
-            if obs is not None:
-                obs.lock_hold(self.stats.category, self._writer_since,
-                              lock=self.name, writer=True)
-        if self.sim.auditor is not None:
-            self.sim.auditor.lock_released(self, mode="write")
-        self._writer = False
-        self._grant()
-
     def _granted_after_wait(self, enqueued: float) -> None:
-        if self.stats is None:
+        stats = self.stats
+        if stats is None:
             return
-        self.stats.record_acquire(self.sim.now - enqueued)
-        obs = self.stats.observer
+        stats.record_acquire(self.sim.now - enqueued)
+        obs = self._observer
         if obs is not None and self.sim.now > enqueued:
-            obs.lock_wait(self.stats.category, enqueued, lock=self.name)
+            obs.lock_wait(stats.category, enqueued, lock=self.name)
 
     def _grant(self) -> None:
         if self._wait_writers:
@@ -334,8 +246,8 @@ class RwLock:
             self._writer = True
             self._writer_since = self.sim.now
             self._granted_after_wait(enqueued)
-            if self.sim.auditor is not None:
-                self.sim.auditor.lock_granted(self, ev, mode="write")
+            if self._auditor is not None:
+                self._auditor.lock_granted(self, ev, mode="write")
             ev.succeed()
             return
         while self._wait_readers:
@@ -344,8 +256,8 @@ class RwLock:
             self._granted_after_wait(enqueued)
             if self.stats is not None:
                 self._reader_since.append(self.sim.now)
-            if self.sim.auditor is not None:
-                self.sim.auditor.lock_granted(self, ev, mode="read")
+            if self._auditor is not None:
+                self._auditor.lock_granted(self, ev, mode="read")
             ev.succeed()
 
     def read_held(self, body: Generator) -> Generator:
@@ -369,7 +281,7 @@ class Semaphore:
     """A counting semaphore; used for device queue-depth slots."""
 
     __slots__ = ("sim", "name", "capacity", "stats", "_in_use",
-                 "_waiters", "acquire", "release")
+                 "_waiters", "_auditor", "_observer")
 
     def __init__(self, sim: Simulator, capacity: int, name: str = "sem",
                  stats: Optional[LockStats] = None):
@@ -381,18 +293,10 @@ class Semaphore:
         self.stats = stats
         self._in_use = 0
         self._waiters: Deque[tuple[Event, float]] = deque()
-        if _use_fast_path(sim, stats):
-            self.acquire = self._acquire_fast
-            self.release = self._release_fast
-        else:
-            self.acquire = self._acquire_slow
-            self.release = self._release_slow
-        if sim.auditor is not None:
-            sim.auditor.lock_registered(self)
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
+        self._auditor = sim.auditor
+        self._observer = stats.observer if stats is not None else None
+        if self._auditor is not None:
+            self._auditor.lock_registered(self)
 
     @property
     def available(self) -> int:
@@ -405,58 +309,35 @@ class Semaphore:
     # acquire() returns None when a slot is free immediately, else an
     # event.
 
-    def _acquire_fast(self) -> Optional[Event]:
+    def acquire(self) -> Optional[Event]:
         if self._in_use < self.capacity:
             self._in_use += 1
-            stats = self.stats
-            if stats is not None:
-                stats.acquisitions += 1
+            if self.stats is not None:
+                self.stats.acquisitions += 1
+            if self._auditor is not None:
+                self._auditor.lock_acquired(self, mode="slot")
             return None
         ev = Event(self.sim)
         self._waiters.append((ev, self.sim.now))
+        if self._auditor is not None:
+            self._auditor.lock_blocked(self, ev, mode="slot")
         return ev
 
-    def _release_fast(self) -> None:
+    def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError(f"release of idle semaphore {self.name!r}")
+        if self._auditor is not None:
+            self._auditor.lock_released(self, mode="slot")
         if self._waiters:
             ev, enqueued = self._waiters.popleft()
             stats = self.stats
             if stats is not None:
                 stats.record_acquire(self.sim.now - enqueued)
-            ev.succeed()
-        else:
-            self._in_use -= 1
-
-    def _acquire_slow(self) -> Optional[Event]:
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            if self.stats is not None:
-                self.stats.record_acquire(0.0)
-            if self.sim.auditor is not None:
-                self.sim.auditor.lock_acquired(self, mode="slot")
-            return None
-        ev = Event(self.sim)
-        self._waiters.append((ev, self.sim.now))
-        if self.sim.auditor is not None:
-            self.sim.auditor.lock_blocked(self, ev, mode="slot")
-        return ev
-
-    def _release_slow(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release of idle semaphore {self.name!r}")
-        if self.sim.auditor is not None:
-            self.sim.auditor.lock_released(self, mode="slot")
-        if self._waiters:
-            ev, enqueued = self._waiters.popleft()
-            if self.stats is not None:
-                self.stats.record_acquire(self.sim.now - enqueued)
-                obs = self.stats.observer
+                obs = self._observer
                 if obs is not None and self.sim.now > enqueued:
-                    obs.lock_wait(self.stats.category, enqueued,
-                                  lock=self.name)
-            if self.sim.auditor is not None:
-                self.sim.auditor.lock_granted(self, ev, mode="slot")
+                    obs.lock_wait(stats.category, enqueued, lock=self.name)
+            if self._auditor is not None:
+                self._auditor.lock_granted(self, ev, mode="slot")
             ev.succeed()
         else:
             self._in_use -= 1

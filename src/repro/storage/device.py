@@ -498,14 +498,6 @@ class StorageDevice:
         return self.submit(WRITE, offset, nbytes, priority=priority,
                            stream=stream)
 
-    @property
-    def blocking_queued(self) -> int:
-        return len(self._queue_blocking)
-
-    @property
-    def prefetch_queued(self) -> int:
-        return len(self._queue_prefetch)
-
     def forget_stream(self, stream: int) -> None:
         self._stream_pos.pop(stream, None)
         if self.durable is not None:

@@ -33,6 +33,7 @@ from repro.runtimes.base import (
     Handle,
     IORuntime,
 )
+from repro.sim.sync import Condition
 from repro.workloads.lsm.memtable import Memtable
 from repro.workloads.lsm.sstable import SSTable
 from repro.workloads.lsm.wal import WalLog
@@ -132,6 +133,10 @@ class LsmDb:
         self._imm: Optional[Memtable] = None
         self._seq = 0
         self._wal_handle: Optional[Handle] = None
+        # Concurrent first puts share one open of the WAL: the first
+        # opens it, the rest wait on ``_wal_opened``.
+        self._wal_opening = False
+        self._wal_opened = Condition(kernel.sim, "wal_open")
         self.wal = WalLog()
         self._puts_since_sync = 0
         self._compacting = False
@@ -250,29 +255,45 @@ class LsmDb:
     # -- write path ----------------------------------------------------------------
 
     def _wal(self) -> Generator:
-        if self._wal_handle is None:
-            self._wal_handle = yield from self.runtime.open(
-                self.config.wal_path, HINT_SEQUENTIAL)
+        while self._wal_handle is None:
+            if self._wal_opening:
+                yield self._wal_opened.wait()
+                continue
+            self._wal_opening = True
+            try:
+                self._wal_handle = yield from self.runtime.open(
+                    self.config.wal_path, HINT_SEQUENTIAL)
+            finally:
+                self._wal_opening = False
+                self._wal_opened.notify_all()
         return self._wal_handle
 
     def put(self, ctx: ThreadCtx, key: int) -> Generator:
         yield self.kernel.sim.timeout(self.config.op_cpu_us)
         self.stats["puts"] += 1
+        wal = yield from self._wal()
+        # Reserve the sequence number and the record's WAL range before
+        # the write yields, so concurrent puts never share an offset and
+        # offsets ascend with seq.
         self._seq += 1
         seq = self._seq
-        wal = yield from self._wal()
         offset = wal.pos
         nbytes = self.config.value_size + 12
-        yield from self.runtime.write_seq(wal, nbytes)
+        wal.pos = offset + nbytes
+        yield from self.runtime.pwrite(wal, offset, nbytes)
         self.wal.append(seq, key, offset, nbytes)
         if self.config.wal_sync_ops > 0:
             self._puts_since_sync += 1
             if self._puts_since_sync >= self.config.wal_sync_ops:
                 # Group commit: barrier the WAL, acknowledging every
-                # record written so far as durable.
+                # record up to this one as durable.  Writes reach the
+                # page cache in reservation order (they queue FIFO on
+                # the inode lock), so all of them are written; ranges
+                # reserved by puts still in flight, or written while
+                # the barrier runs, are not covered.
                 self._puts_since_sync = 0
                 yield from self.runtime.fsync(wal)
-                self.wal.commit(wal.pos)
+                self.wal.commit(offset + nbytes)
         self.memtable.put(key, seq)
         if self.memtable.full and not self._flushing:
             self._rotate_memtable()

@@ -355,6 +355,19 @@ class TestConservation:
         with pytest.raises(AuditError, match="fill path"):
             kernel.shutdown()
 
+    def test_fill_bitmap_leak_detected(self, audited_kernel):
+        kernel = audited_kernel
+        inode = self._read_some(kernel)
+        # Tamper: a fill and a prefetch pipeline that never cleaned up.
+        inode.inflight.set_range(3, 2)
+        inode.planned.set_range(7, 1)
+        with pytest.raises(AuditError) as err:
+            kernel.shutdown()
+        assert f"inflight bitmap not empty for inode {inode.id}" \
+            in str(err.value)
+        assert f"planned bitmap not empty for inode {inode.id}" \
+            in str(err.value)
+
     def test_device_utilization_bounded(self, audited_kernel):
         kernel = audited_kernel
         self._read_some(kernel)

@@ -131,8 +131,8 @@ class TestReadaheadInfo:
 
         info = drive(kernel, body())
         assert info.prefetch_submitted == 0
-        assert kernel.vfs._planned[inode.id].count_set() == 0
-        assert kernel.vfs._inflight[inode.id].count_set() == 0
+        assert inode.planned.count_set() == 0
+        assert inode.inflight.count_set() == 0
 
     def test_bitmap_window_beyond_eof_clamps(self, kernel):
         inode = kernel.create_file("/a", 1 * MB)

@@ -14,6 +14,7 @@ from repro.crosslib.runtime import CrossLibRuntime
 from repro.os.kernel import Kernel
 from repro.runtimes.base import HINT_RANDOM
 from repro.runtimes.leap import LeapRuntime
+from repro.sim.observe import spans_from
 from repro.sim.trace import Tracer
 from tests.conftest import drive
 
@@ -217,9 +218,10 @@ class TestTracer:
                 f, CacheInfo(offset=0, nbytes=256 * KB))
 
         drive(kernel, body())
-        assert tracer.count("read") >= 1
-        assert tracer.count("readahead_info") == 1
-        assert "read" in tracer.summary()
+        names = [(span.category, span.name) for span in spans_from(tracer)]
+        assert names.count(("vfs", "read")) >= 1
+        assert names.count(("crossos", "readahead_info")) == 1
+        assert "span" in tracer.summary()
         kernel.shutdown()
 
     def test_ring_wraparound_keeps_index_consistent(self):

@@ -25,6 +25,8 @@ class TestInode:
         inode.set_size(64 * KB)
         assert inode.nblocks == 16
         assert inode.cache.nblocks == 16
+        assert inode.inflight.nblocks == 16
+        assert inode.planned.nblocks == 16
         with pytest.raises(ValueError):
             inode.set_size(-1)
 

@@ -268,6 +268,61 @@ def test_run_drains_heap_naturally():
     assert sim.run() == 3.0
 
 
+def _bucket_schedule(sim):
+    """Processes whose wakeups coalesce into the same-instant bucket:
+    a notifier wakes waiters at the instant where other timeouts expire,
+    and each woken waiter fires a delay-0 event of its own."""
+    from repro.sim import Condition
+
+    order = []
+    cond = Condition(sim)
+
+    def waiter(name):
+        yield cond.wait()
+        order.append((name, sim.now))
+        follow = sim.event()
+        follow.succeed(name)
+        got = yield follow
+        order.append((got + "'", sim.now))
+        yield sim.timeout(2)
+        order.append((name + "+2", sim.now))
+
+    def sleeper(name, delay):
+        yield sim.timeout(delay)
+        order.append((name, sim.now))
+
+    def notifier():
+        yield sim.timeout(5)
+        cond.notify_all()
+        order.append(("notify", sim.now))
+
+    for name in "abc":
+        sim.process(waiter(name))
+    sim.process(sleeper("s1", 5))
+    sim.process(notifier())
+    sim.process(sleeper("s2", 5))
+    sim.process(sleeper("s3", 7))
+    return order
+
+
+def test_bounded_run_past_last_event_matches_unbounded():
+    """One dispatch loop serves run() and run(until=...): a horizon past
+    the last event dispatches the same events in the same order."""
+    unbounded = Simulator()
+    order = _bucket_schedule(unbounded)
+    assert unbounded.run() == 7.0
+    bounded = Simulator()
+    bounded_order = _bucket_schedule(bounded)
+    assert bounded.run(until=1000.0) == 7.0
+    assert bounded_order == order
+    assert bounded.events_processed == unbounded.events_processed
+    # The schedule did coalesce: waiters woke and re-woke at t=5, in
+    # FIFO order, after the heap events already due at that instant.
+    assert order[:8] == [("s1", 5.0), ("notify", 5.0), ("s2", 5.0),
+                         ("a", 5.0), ("b", 5.0), ("c", 5.0),
+                         ("a'", 5.0), ("b'", 5.0)]
+
+
 def test_simultaneous_events_fifo_order():
     sim = Simulator()
     order = []

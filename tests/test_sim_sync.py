@@ -12,6 +12,9 @@ from repro.sim import (
     Simulator,
     StatsRegistry,
 )
+from repro.sim.audit import Auditor
+from repro.sim.observe import Observer
+from repro.sim.trace import Tracer
 
 
 @pytest.fixture
@@ -334,3 +337,86 @@ class TestRwLockHoldAccounting:
         # report 10 + 9 + 3 instead.
         assert stats.total_hold == 13.0
         assert stats.total_wait == 9.0
+
+
+# (name, arrival, hold, mode): overlapping arrivals so every primitive
+# queues waiters, and, on the RwLock, writers arrive behind readers and
+# readers behind writers.
+_SCHEDULE = [
+    ("a", 0.0, 5.0, "w"), ("b", 1.0, 3.0, "r"), ("c", 1.0, 4.0, "r"),
+    ("d", 2.0, 2.0, "w"), ("e", 2.0, 6.0, "r"), ("f", 3.0, 1.0, "r"),
+    ("g", 9.0, 1.0, "w"), ("h", 9.0, 2.0, "r"), ("i", 30.0, 1.0, "w"),
+]
+
+
+class _CountingAuditor(Auditor):
+    """Counts queued grants, to show the auditor hooks actually ran."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.grants = 0
+
+    def lock_granted(self, prim, ev, mode=""):
+        self.grants += 1
+        super().lock_granted(prim, ev, mode)
+
+
+def _contended_run(kind, attach):
+    """Run _SCHEDULE on one primitive; returns (grant order, stats)."""
+    sim = Simulator()
+    registry = StatsRegistry()
+    auditor = observer = None
+    if attach == "auditor":
+        auditor = _CountingAuditor(sim)
+    elif attach == "observer":
+        observer = Observer(sim, Tracer(), emit_holds=True)
+        registry.attach_observer(observer)
+    stats = registry.lock_stats(kind)
+    if kind == "lock":
+        prim = Lock(sim, stats=stats)
+        ops = {"r": (prim.acquire, prim.release)}
+        ops["w"] = ops["r"]
+    elif kind == "rwlock":
+        prim = RwLock(sim, stats=stats)
+        ops = {"r": (prim.acquire_read, prim.release_read),
+               "w": (prim.acquire_write, prim.release_write)}
+    else:
+        prim = Semaphore(sim, 2, stats=stats)
+        ops = {"r": (prim.acquire, prim.release)}
+        ops["w"] = ops["r"]
+    grants = []
+
+    def worker(name, arrival, hold, mode):
+        acquire, release = ops[mode]
+        yield sim.timeout(arrival)
+        yield acquire()
+        grants.append((name, sim.now))
+        yield sim.timeout(hold)
+        release()
+
+    for name, arrival, hold, mode in _SCHEDULE:
+        sim.process(worker(name, arrival, hold, mode), name=name)
+    sim.run()
+    if auditor is not None:
+        auditor.final_check()
+        assert auditor.grants > 0
+    if observer is not None:
+        # The span feed saw every wait the stats did.
+        assert observer.profile.total_wait == stats.total_wait
+    return grants, (stats.acquisitions, stats.contended,
+                    stats.total_wait, stats.total_hold)
+
+
+class TestInstrumentationParity:
+    """Plain, audited and traced runs go through the same primitive code,
+    so they grant in the same order and record the same LockStats."""
+
+    @pytest.mark.parametrize("kind", ["lock", "rwlock", "semaphore"])
+    def test_same_grants_and_stats(self, kind):
+        plain = _contended_run(kind, None)
+        grants, (acquisitions, contended, _wait, _hold) = plain
+        assert acquisitions == len(_SCHEDULE)
+        assert contended > 0
+        assert len(grants) == len(_SCHEDULE)
+        assert _contended_run(kind, "auditor") == plain
+        assert _contended_run(kind, "observer") == plain
