@@ -205,7 +205,9 @@ def _fingerprint(host_rows: List[dict], sim: Simulator) -> str:
 def run_fleet(config: FleetConfig) -> dict:
     """Run one fleet configuration to completion; returns a dict with
     ``metrics`` (fleet ApproachMetrics), ``hosts`` (per-host
-    summaries), ``backends`` (per-backend device counters), and
+    summaries), ``counters`` (per-host registry snapshots plus OS
+    reclaim as ``cache.evicted_pages``, plain dicts keyed by host
+    name), ``backends`` (per-backend device counters), and
     ``fingerprint`` (sha256 over per-host counters + engine totals —
     equal fingerprints mean bit-identical runs)."""
     sim = Simulator()
@@ -287,9 +289,15 @@ def run_fleet(config: FleetConfig) -> dict:
         "read_bytes": d.stats.read_bytes,
         "reads": d.stats.reads,
     } for i, d in enumerate(backends)]
+    counters = {}
+    for host in hosts:
+        counters[host.name] = host.kernel.registry.snapshot()
+        counters[host.name]["cache.evicted_pages"] = \
+            float(host.kernel.mem.reclaimed_pages)
     return {
         "metrics": metrics,
         "hosts": host_rows,
+        "counters": counters,
         "backends": backend_rows,
         "fingerprint": _fingerprint(host_rows, sim),
     }

@@ -86,6 +86,7 @@ class PatternPredictor:
 
     def __init__(self, config: Optional[CrossLibConfig] = None):
         self.config = config or CrossLibConfig()
+        self.counter_max = self.config.counter_max
         self.counter = 0  # files open in "definitely random" (§4.6)
         self.last_start: Optional[int] = None
         self.last_end: Optional[int] = None
@@ -170,8 +171,8 @@ class PatternPredictor:
                                            + 0.25 * self.run_blocks)
             self.run_blocks = count
         c = self.counter + delta
-        if c > cfg.counter_max:
-            c = cfg.counter_max
+        if c > self.counter_max:
+            c = self.counter_max
         elif c < 0:
             c = 0
         self.counter = c
@@ -196,7 +197,7 @@ class PatternPredictor:
         streak_needed = cfg.streak_threshold \
             if self.streak_override is None else self.streak_override
         if relaxed and self.streak >= streak_needed \
-                and self.counter >= cfg.counter_max:
+                and self.counter >= self.counter_max:
             window *= cfg.opt_window_scale
         avg = self.avg_run_blocks
         if avg > 0:

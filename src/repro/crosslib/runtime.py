@@ -39,6 +39,7 @@ class CrossLibRuntime(IORuntime):
         self.crossos = kernel.cross
         self.config = config or CrossLibConfig()
         self.registry = kernel.registry
+        self.block_size = kernel.config.block_size
         self._states: dict[int, UserFileState] = {}
         self.budget = MemoryBudget(self, self.config)
         self.budget.update(kernel.mem.free_pages, kernel.mem.total_pages)
@@ -67,10 +68,6 @@ class CrossLibRuntime(IORuntime):
         self._adaptive = kernel.device.adaptive
 
     # -- helpers ----------------------------------------------------------------
-
-    @property
-    def block_size(self) -> int:
-        return self.kernel.config.block_size
 
     def iter_states(self) -> Iterator[UserFileState]:
         return iter(self._states.values())
@@ -312,7 +309,7 @@ class CrossLibRuntime(IORuntime):
         if not cfg.aggressive or cfg.fetchall:
             return
         if ufd is not None and cfg.predict \
-                and ufd.predictor.state.value >= cfg.prefetch_threshold:
+                and ufd.predictor.state >= cfg.prefetch_threshold:
             return
         if state.bulk_cursor >= state.nblocks:
             return

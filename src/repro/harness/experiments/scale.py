@@ -72,6 +72,7 @@ def _scale_task(item: dict) -> tuple:
     out = run_fleet(config)
     metrics: ApproachMetrics = out["metrics"]
     metrics.extra["fingerprint"] = out["fingerprint"]
+    metrics.extra["host_counters"] = out["counters"]
     return item["key"], item["approach"], metrics
 
 

@@ -89,40 +89,25 @@ class BlockBitmap:
         self.nblocks = nblocks
         new_bits = self.nbits
         if new_bits < old_bits:
-            self._clear_bits(new_bits, old_bits - new_bits)
+            self._apply(new_bits, old_bits - new_bits, set_bits=False)
 
     # -- word-level helpers -------------------------------------------------
 
-    def _apply(self, first: int, nbits: int, set_bits: bool) -> None:
+    def _apply(self, first: int, nbits: int, set_bits: bool) -> int:
+        """Set or clear bits [first, first+nbits); returns bits flipped."""
         if nbits <= 0:
-            return
+            return 0
+        before_count = self._count
         words = self._words
         last = first + nbits - 1
         fw = first >> 6
         lw = last >> 6
-        if fw == lw:
-            # Single-word window: the dominant case for 4 KB-block reads.
-            mask = ((1 << nbits) - 1) << (first & 63)
-            if set_bits:
-                if lw >= len(words):
-                    self._ensure(lw)
-                before = words[fw]
-                after = before | mask
-            else:
-                if fw >= len(words):
-                    return
-                before = words[fw]
-                after = before & ~mask
-            if after != before:
-                self._count += after.bit_count() - before.bit_count()
-                words[fw] = after
-            return
         fb = first & 63
         lb = last & 63
         if set_bits:
             self._ensure(lw)
         elif fw >= len(words):
-            return
+            return 0
         for wi in range(fw, lw + 1):
             if not set_bits and wi >= len(words):
                 break
@@ -134,15 +119,15 @@ class BlockBitmap:
             if after != before:
                 self._count += after.bit_count() - before.bit_count()
                 words[wi] = after
-
-    def _clear_bits(self, first: int, nbits: int) -> None:
-        self._apply(first, nbits, set_bits=False)
+        return abs(self._count - before_count)
 
     # -- mutation ---------------------------------------------------------
 
-    def set_range(self, start: int, count: int) -> None:
+    def set_range(self, start: int, count: int) -> int:
+        """Set the bits covering a block range; returns how many bits
+        were newly set (with ``shift == 0``, the newly set blocks)."""
         if count <= 0:
-            return
+            return 0
         if start < 0:
             raise ValueError(f"bad block range: start={start} count={count}")
         shift = self.shift
@@ -156,15 +141,17 @@ class BlockBitmap:
             mask = ((1 << (last - first + 1)) - 1) << (first & 63)
             before = words[fw]
             after = before | mask
-            if after != before:
-                self._count += after.bit_count() - before.bit_count()
-                words[fw] = after
-            return
-        self._apply(first, last - first + 1, set_bits=True)
+            changed = after.bit_count() - before.bit_count()
+            self._count += changed
+            words[fw] = after
+            return changed
+        return self._apply(first, last - first + 1, set_bits=True)
 
-    def clear_range(self, start: int, count: int) -> None:
+    def clear_range(self, start: int, count: int) -> int:
+        """Clear the bits covering a block range; returns how many set
+        bits were cleared."""
         if count <= 0:
-            return
+            return 0
         if start < 0:
             raise ValueError(f"bad block range: start={start} count={count}")
         shift = self.shift
@@ -174,15 +161,15 @@ class BlockBitmap:
         if fw == (last >> 6):
             words = self._words
             if fw >= len(words):
-                return
+                return 0
             mask = ((1 << (last - first + 1)) - 1) << (first & 63)
             before = words[fw]
             after = before & ~mask
-            if after != before:
-                self._count += after.bit_count() - before.bit_count()
-                words[fw] = after
-            return
-        self._apply(first, last - first + 1, set_bits=False)
+            changed = before.bit_count() - after.bit_count()
+            self._count -= changed
+            words[fw] = after
+            return changed
+        return self._apply(first, last - first + 1, set_bits=False)
 
     def clear_all(self) -> None:
         self._words = []

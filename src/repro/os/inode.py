@@ -40,26 +40,23 @@ class Inode:
         self.path = path
         self.size = size
         self.block_size = block_size
-        self.cache = PageCache(sim, self.id, self.blocks_of(size),
-                               mem, registry)
+        # A plain attribute (kept current by set_size): reads consult it.
+        self.nblocks = self.blocks_of(size)
+        self.cache = PageCache(sim, self.id, self.nblocks, mem, registry)
         self.rwlock = RwLock(sim, name=f"inode[{self.id}]",
                              stats=registry.lock_stats("inode"))
         # Fill-path state: blocks with device I/O in progress, blocks a
         # prefetch pipeline has claimed but not reached yet (demand reads
         # wait on them for one pipeline step, then fetch them at blocking
         # priority), and the condition fill waiters sleep on.
-        self.inflight = BlockBitmap(self.blocks_of(size))
-        self.planned = BlockBitmap(self.blocks_of(size))
+        self.inflight = BlockBitmap(self.nblocks)
+        self.planned = BlockBitmap(self.nblocks)
         self.fill_cond = Condition(sim, f"fill[{self.id}]")
         # Per-inode telemetry Cross-OS exports (§4.4): demand hits/misses.
         self.hit_pages = 0
         self.miss_pages = 0
         # Set by CrossOS.attach(); None when CrossPrefetch is disabled.
         self.cross: Optional[object] = None
-
-    @property
-    def nblocks(self) -> int:
-        return self.blocks_of(self.size)
 
     def blocks_of(self, nbytes: int) -> int:
         if nbytes <= 0:
@@ -70,9 +67,12 @@ class Inode:
         if size < 0:
             raise ValueError(f"negative file size: {size}")
         self.size = size
-        self.cache.resize(self.nblocks)
-        self.inflight.resize(self.nblocks)
-        self.planned.resize(self.nblocks)
+        nblocks = self.blocks_of(size)
+        if nblocks != self.nblocks:
+            self.nblocks = nblocks
+            self.cache.resize(nblocks)
+            self.inflight.resize(nblocks)
+            self.planned.resize(nblocks)
 
     def __repr__(self) -> str:
         return f"Inode({self.id}, {self.path!r}, {self.size}B)"

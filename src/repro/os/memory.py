@@ -32,6 +32,9 @@ class MemoryManager:
         self.total_pages = total_pages
         self.chunk_blocks = chunk_blocks
         self.used_pages = 0
+        # Dirty pages over every registered cache, kept by PageCache so
+        # the writeback threshold check is O(1).
+        self.dirty_pages = 0
         self.lru = PerInodeLru() if per_inode_lru else ChunkLru()
         self._caches: dict[int, "PageCache"] = {}
         self.reclaimed_pages = 0

@@ -68,6 +68,11 @@ class PageCache:
         # PG_readahead marker: block index that triggers async readahead
         # when hit, or None.
         self.ra_marker: Optional[int] = None
+        # Bumped by every call that frees pages (evictions) or adds new
+        # ones (inserts): while neither moves, a reader's earlier
+        # residency probe is still the answer.
+        self.evictions = 0
+        self.inserts = 0
         mem.register_cache(self)
         # Hooks fired as (start, nblocks) on insert/evict; Cross-OS uses
         # them to mirror residency into the exported bitmap.
@@ -94,8 +99,12 @@ class PageCache:
         return self.present.count_set()
 
     def resize(self, nblocks: int) -> None:
+        present, dirty = self.present._count, self.dirty._count
         self.present.resize(nblocks)
         self.dirty.resize(nblocks)
+        if self.present._count != present:
+            self.evictions += 1
+        self.mem.dirty_pages -= dirty - self.dirty._count
 
     def _chunks(self, start: int, count: int) -> Iterator[int]:
         cb = self.mem.chunk_blocks
@@ -129,11 +138,9 @@ class PageCache:
         """
         if count <= 0:
             return 0
-        present = self.present
-        new_pages = count - present.count_set(start, count)
-        present.set_range(start, count)
+        new_pages = self.present.set_range(start, count)
         if dirty:
-            self.dirty.set_range(start, count)
+            self.mem.dirty_pages += self.dirty.set_range(start, count)
         cb = self.mem.chunk_blocks
         first = start // cb
         last = (start + count - 1) // cb
@@ -144,6 +151,7 @@ class PageCache:
         for hook in self.insert_hooks:
             hook(start, count)
         if new_pages > 0:
+            self.inserts += 1
             # Protect the chunks this insert populated from the reclaim
             # it may trigger, or the filler would evict itself.
             self.mem.charge(new_pages,
@@ -175,11 +183,11 @@ class PageCache:
         if count <= 0:
             self.mem.chunk_removed((self.inode_id, chunk))
             return 0
-        freed = self.present.count_set(start, count)
+        freed = self.present.clear_range(start, count)
         if freed:
+            self.evictions += 1
             self._note_dirty_evicted(start, count)
-            self.present.clear_range(start, count)
-            self.dirty.clear_range(start, count)
+            self.mem.dirty_pages -= self.dirty.clear_range(start, count)
             self.mem.uncharge(freed)
             for hook in self.evict_hooks:
                 hook(start, count)
@@ -191,25 +199,28 @@ class PageCache:
         """Evict an arbitrary block range (fadvise(DONTNEED) path)."""
         if count <= 0:
             return 0
-        freed = self.present.count_set(start, count)
+        freed = self.present.clear_range(start, count)
         if freed == 0:
             return 0
+        self.evictions += 1
         observer = self.registry.observer
         if observer is not None:
             observer.instant("pagecache", "evict", inode=self.inode_id,
                              block=start, pages=freed)
         self._note_dirty_evicted(start, count)
-        self.present.clear_range(start, count)
-        self.dirty.clear_range(start, count)
+        self.mem.dirty_pages -= self.dirty.clear_range(start, count)
         self.mem.uncharge(freed)
         for hook in self.evict_hooks:
             hook(start, count)
         self.mem.notify_evicted(self.inode_id, start, count)
         cb = self.mem.chunk_blocks
+        end = start + count
         for chunk in self._chunks(start, count):
             cstart = chunk * cb
             clen = min(cb, max(0, self.nblocks - cstart))
-            if clen <= 0 or not self.present.any_set(cstart, clen):
+            # Only the two edge chunks can still hold pages.
+            if clen <= 0 or start <= cstart and cstart + clen <= end \
+                    or not self.present.any_set(cstart, clen):
                 self.mem.chunk_removed((self.inode_id, chunk))
         return freed
 
@@ -222,7 +233,7 @@ class PageCache:
                     hook(run_start, run_len)
 
     def clean_range(self, start: int, count: int) -> None:
-        self.dirty.clear_range(start, count)
+        self.mem.dirty_pages -= self.dirty.clear_range(start, count)
 
     @property
     def dirty_pages(self) -> int:

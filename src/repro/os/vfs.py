@@ -215,7 +215,12 @@ class VFS:
 
     def read(self, file: File, offset: int, nbytes: int,
              parent=None) -> Generator:
-        """pread(2).  Returns a :class:`ReadResult`."""
+        """pread(2).  Returns a :class:`ReadResult`.
+
+        One residency probe under the tree read lock drives hit/miss
+        accounting and, while the cache neither inserts nor evicts pages
+        (``PageCache.inserts``/``evictions``), also the fill after the
+        CPU cost: a range resident at the probe then needs no fill."""
         inode = file.inode
         cache = inode.cache
         self._c_reads.value += 1
@@ -248,16 +253,17 @@ class VFS:
             if ev is not None:
                 yield ev
             cpu += count * self._cpu_walk
-            uncovered = self._uncovered_runs(cache, inode.inflight, b0,
-                                             count)
+            missing = cache.present.missing_runs(b0, count)
+            evictions = cache.evictions
+            inserts = cache.inserts
             marker = cache.ra_marker
             cache.tree_lock.release_read()
 
-            if uncovered:
+            if missing:
+                uncovered = self._uncovered_runs(missing, inode.inflight) \
+                    if inode.inflight._count else missing
                 miss_pages = sum(n for _s, n in uncovered)
-                hit_pages = count - miss_pages
-            else:
-                hit_pages = count
+            hit_pages = count - miss_pages
             inode.hit_pages += hit_pages
             inode.miss_pages += miss_pages
             self._c_hits.value += hit_pages
@@ -312,13 +318,17 @@ class VFS:
             cpu += count * self._cpu_copy
             yield self.sim.timeout(cpu)
             # Fill whatever is still missing and wait out in-flight
-            # overlaps (the page-lock wait); fully-resident reads skip
-            # the fill machinery entirely.
-            if not cache.present.all_set(b0, count):
-                yield from self._fill_range(inode, b0, count,
-                                            priority=BLOCKING,
-                                            honor_planned=True,
-                                            parent=span)
+            # overlaps (the page-lock wait).
+            if missing or cache.evictions != evictions:
+                if cache.evictions != evictions \
+                        or cache.inserts != inserts:
+                    missing = cache.present.missing_runs(b0, count)
+                if missing:
+                    yield from self._fill_range(inode, b0, count,
+                                                priority=BLOCKING,
+                                                honor_planned=True,
+                                                parent=span,
+                                                missing=missing)
         finally:
             inode.rwlock.release_read()
             if span is not None:
@@ -552,7 +562,9 @@ class VFS:
                     priority: int, prefetch: bool = False,
                     wait: bool = True,
                     honor_planned: bool = False,
-                    parent=None) -> Generator:
+                    parent=None,
+                    missing: Optional[list[tuple[int, int]]] = None
+                    ) -> Generator:
         """Ensure blocks [start, start+count) are resident.
 
         Deduplicates against concurrent fills through the inflight bitmap
@@ -560,20 +572,32 @@ class VFS:
         device.  With ``honor_planned`` (the demand-read path), blocks a
         prefetch pipeline has claimed are waited for instead of re-read —
         the kernel's locked-page semantics.
+
+        ``missing`` is the caller's current ``present.missing_runs``
+        probe of the range.  A pass re-probes after waiting on another
+        fill, or after a fill that overlapped in-flight or planned blocks
+        or during which this cache evicted pages; else it is done.
         """
         cache = inode.cache
         inflight = inode.inflight
         planned = inode.planned if honor_planned else None
-        cond = inode.fill_cond
-        end = min(start + count, inode.nblocks)
-        if end <= start:
+        # Locals are kept few on purpose: the simulator retains every
+        # spawned fill's generator, frame included, for its whole run.
+        if start + count > inode.nblocks:
+            count = inode.nblocks - start
+            missing = None   # the caller probed past the end of file
+        if count <= 0:
             return 0
-        count = end - start
+        if missing is None:
+            missing = cache.present.missing_runs(start, count)
         pages_read = 0
         while True:
-            runs = self._uncovered_runs(cache, inflight, start, count,
-                                        planned=planned)
+            runs = self._uncovered_runs(missing, inflight, planned)
             if runs:
+                # When the runs are every gap, the range is resident
+                # once they land unless an eviction (own reclaim too)
+                # intervened; otherwise re-probe.
+                evictions = cache.evictions if runs == missing else None
                 try:
                     pages_read += yield from self._fill_runs(
                         inode, runs, priority=priority, prefetch=prefetch,
@@ -590,41 +614,41 @@ class VFS:
                     # demand-fetches it at blocking priority.
                     self.registry.count("prefetch.aborted_fills")
                     break
-                continue
-            if not wait or cache.present.all_set(start, count):
+                if cache.evictions == evictions:
+                    break
+            elif not wait or not missing:
                 break
-            # Someone else is reading an overlapping range: wait for it.
-            yield cond.wait()
-            # If after one pipeline step our blocks are still only
-            # *planned* (claimed by a prefetch whose pipeline has not
-            # reached them), stop deferring and demand-fetch them at
-            # blocking priority — the pipeline's per-chunk recheck skips
-            # blocks that became resident, so nothing is read twice.
-            # This is the kernel reality: a page the prefetcher has not
-            # yet inserted is fetched by whoever faults on it first.
-            planned = None
+            else:
+                # Someone else is reading an overlapping range: wait for
+                # it.  If after one pipeline step our blocks are still
+                # only *planned* (claimed by a prefetch whose pipeline has
+                # not reached them), stop deferring and demand-fetch them
+                # at blocking priority — the pipeline's per-chunk recheck
+                # skips blocks that became resident, so nothing is read
+                # twice.  This is the kernel reality: a page the
+                # prefetcher has not yet inserted is fetched by whoever
+                # faults on it first.
+                yield inode.fill_cond.wait()
+                planned = None
+            missing = cache.present.missing_runs(start, count)
         return pages_read
 
-    def _uncovered_runs(self, cache, inflight: BlockBitmap, start: int,
-                        count: int,
+    def _uncovered_runs(self, missing: list[tuple[int, int]],
+                        inflight: BlockBitmap,
                         planned: Optional[BlockBitmap] = None
                         ) -> list[tuple[int, int]]:
-        missing = cache.present.missing_runs(start, count)
-        if not missing:
-            return missing
-        # Nothing in flight (and nothing planned): the present-bitmap
-        # gaps are the answer — skip the nested subtractions.
-        if inflight._count == 0 and (
-                planned is None or planned._count == 0):
-            return missing
-        runs: list[tuple[int, int]] = []
-        for run_start, run_len in missing:
-            for sub_start, sub_len in inflight.missing_runs(run_start,
-                                                            run_len):
-                if planned is None:
-                    runs.append((sub_start, sub_len))
-                else:
-                    runs.extend(planned.missing_runs(sub_start, sub_len))
+        """The present-bitmap gaps ``missing`` minus blocks in flight
+        (and, with ``planned``, blocks a prefetch pipeline claimed).
+
+        An empty bitmap is never queried; with nothing in flight or
+        planned the result is ``missing`` itself (the same list)."""
+        runs = missing
+        for claimed in (inflight, planned):
+            if runs and claimed is not None and claimed._count:
+                subs: list[tuple[int, int]] = []
+                for run_start, run_len in runs:
+                    subs.extend(claimed.missing_runs(run_start, run_len))
+                runs = subs
         return runs
 
     def _fill_runs(self, inode: Inode, runs: list[tuple[int, int]], *,
@@ -748,7 +772,8 @@ class VFS:
                 run_end = run_start + run_len
                 while pos < run_end:
                     n = min(chunk_blocks, run_end - pos)
-                    sub = self._uncovered_runs(cache, inflight, pos, n)
+                    sub = self._uncovered_runs(
+                        cache.present.missing_runs(pos, n), inflight)
                     if sub:
                         pages = yield from self._fill_runs(
                             inode, sub, priority=PREFETCH, prefetch=True,
@@ -782,18 +807,8 @@ class VFS:
 
     # -- writeback ----------------------------------------------------------------
 
-    def _total_dirty(self) -> int:
-        total = 0
-        for inode_id in list(self._dirty_inodes):
-            inode = self._inodes_by_id(inode_id)
-            if inode is None:
-                self._dirty_inodes.discard(inode_id)
-                continue
-            total += inode.cache.dirty_pages
-        return total
-
     def _kick_writeback(self) -> None:
-        if self._total_dirty() >= self.config.writeback_dirty_pages:
+        if self.mem.dirty_pages >= self.config.writeback_dirty_pages:
             self._wb_kick.notify_all()
 
     def _flusher(self) -> Generator:
@@ -801,10 +816,10 @@ class VFS:
         while True:
             # Sleep until a writer crosses the dirty threshold.
             yield self._wb_kick.wait()
-            while self._total_dirty() >= cfg.writeback_dirty_pages:
+            while self.mem.dirty_pages >= cfg.writeback_dirty_pages:
                 budget = cfg.writeback_batch_pages
                 for inode_id in list(self._dirty_inodes):
-                    inode = self._inodes_by_id(inode_id)
+                    inode = self._by_id.get(inode_id)
                     if inode is None:
                         self._dirty_inodes.discard(inode_id)
                         continue
@@ -814,9 +829,6 @@ class VFS:
                     if budget <= 0:
                         break
                 yield self.sim.timeout(cfg.writeback_interval)
-
-    def _inodes_by_id(self, inode_id: int) -> Optional[Inode]:
-        return self._by_id.get(inode_id)
 
     def _flush_inode(self, inode: Inode, *, priority: int,
                      max_pages: Optional[int] = None) -> Generator:

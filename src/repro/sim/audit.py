@@ -386,6 +386,12 @@ class Auditor:
                     self.violations.append(
                         f"device channel utilization {util:.3f} > 1.0")
             self.check_fill_leaks(kernel)
+            dirty = sum(inode.cache.dirty_pages
+                        for inode in kernel.vfs._by_id.values())
+            if kernel.mem.dirty_pages != dirty:
+                self.violations.append(
+                    f"dirty page total {kernel.mem.dirty_pages} != "
+                    f"{dirty} dirty pages over live inodes")
             qos = getattr(kernel, "qos", None)
             if qos is not None:
                 for name, state in qos.tenants.items():

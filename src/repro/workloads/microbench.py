@@ -132,10 +132,11 @@ def run_microbench(kernel: Kernel, runtime: IORuntime,
                                     io_size, config.backward_fraction,
                                     rng)
         if latencies is not None:
+            sim = kernel.sim
             for off in offsets:
-                op_t0 = kernel.now
+                op_t0 = sim.now
                 r = yield from runtime.pread(handle, off, io_size)
-                latencies.append(kernel.now - op_t0)
+                latencies.append(sim.now - op_t0)
                 total += r.nbytes
                 hits += r.hit_pages
                 misses += r.miss_pages

@@ -368,6 +368,16 @@ class TestConservation:
         assert f"planned bitmap not empty for inode {inode.id}" \
             in str(err.value)
 
+    def test_dirty_total_matches_per_inode_sum(self, audited_kernel):
+        kernel = audited_kernel
+        inode = kernel.create_file("/w", 1 * MB)
+        file = kernel.vfs.open_sync("/w")
+        drive(kernel, kernel.vfs.write(file, 0, 64 * KB))
+        assert kernel.mem.dirty_pages == inode.cache.dirty_pages == 16
+        kernel.mem.dirty_pages += 3   # tamper: a lost clean_range delta
+        with pytest.raises(AuditError, match="dirty page total 19 != 16"):
+            kernel.shutdown()
+
     def test_device_utilization_bounded(self, audited_kernel):
         kernel = audited_kernel
         self._read_some(kernel)

@@ -270,3 +270,62 @@ def test_property_copy_is_independent(nblocks, ops):
         (op, min(s, nblocks - 1), min(c, nblocks - min(s, nblocks - 1)))
         for op, s, c in ops])
     assert bm.count_set() == len(ref)
+
+
+class TestChangedCounts:
+    """set_range/clear_range report how many bits they flipped."""
+
+    def test_single_word(self):
+        bm = BlockBitmap(64)
+        assert bm.set_range(3, 5) == 5
+        assert bm.set_range(5, 5) == 2      # 5..7 already set
+        assert bm.clear_range(0, 4) == 1    # only block 3 was set
+        assert bm.clear_range(4, 6) == 6
+        assert bm.count_set() == 0
+
+    def test_multi_word(self):
+        bm = BlockBitmap(300)
+        assert bm.set_range(60, 10) == 10
+        assert bm.set_range(0, 200) == 190
+        assert bm.clear_range(50, 100) == 100
+        assert bm.count_set() == 100
+
+    def test_already_set_and_already_clear(self):
+        bm = BlockBitmap(200)
+        bm.set_range(10, 150)
+        assert bm.set_range(20, 3) == 0
+        assert bm.set_range(10, 150) == 0
+        bm.clear_range(10, 150)
+        assert bm.clear_range(20, 3) == 0
+        assert bm.clear_range(10, 150) == 0
+
+    def test_shift_counts_bits_not_blocks(self):
+        bm = BlockBitmap(1024, shift=2)
+        assert bm.set_range(0, 5) == 2      # bits 0 and 1
+        assert bm.set_range(4, 8) == 1      # bits 1 and 2; bit 2 is new
+        assert bm.set_range(200, 400) == 100
+        assert bm.clear_range(1, 1) == 1
+        assert bm.count_set() == 102
+
+    def test_past_the_end_of_words(self):
+        bm = BlockBitmap(1000)
+        bm.set_range(0, 10)
+        assert bm.clear_range(500, 10) == 0     # single word, unallocated
+        assert bm.clear_range(300, 300) == 0    # multi word, unallocated
+        assert bm.set_range(900, 70) == 70      # grows the word list
+        assert bm.set_range(990, 5) == 5
+        assert bm.count_set() == 85
+
+
+@settings(max_examples=150, deadline=None)
+@given(nblocks=st.integers(1, 500), shift=st.integers(0, 3),
+       ops=ops_strategy)
+def test_property_changed_count_is_popcount_delta(nblocks, shift, ops):
+    bm = BlockBitmap(nblocks, shift=shift)
+    for op, start, count in ops:
+        start = min(start, nblocks - 1)
+        before = bm.count_set()
+        if op == "set":
+            assert bm.set_range(start, count) == bm.count_set() - before
+        else:
+            assert bm.clear_range(start, count) == before - bm.count_set()

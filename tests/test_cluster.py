@@ -188,6 +188,34 @@ class TestFleetDeterminism:
                     == other.extra["sim_events"]
                 assert metrics.latencies_us == other.latencies_us
 
+    def test_scale_quick_returns_per_host_counters(self):
+        """The scale quick preset carries each host's counter snapshot
+        (plain dicts, so the fork pool can pickle them), and --jobs 2
+        returns them byte-identical to serial."""
+        import json
+        import pickle
+
+        from repro.cli import QUICK_ARGS
+
+        serial, _ = run_scale(jobs=1, **QUICK_ARGS["scale"])
+        forked, _ = run_scale(jobs=2, **QUICK_ARGS["scale"])
+
+        def doc(results):
+            return json.dumps(
+                {key: {ap: [m.extra["fingerprint"],
+                            m.extra["host_counters"]]
+                       for ap, m in per.items()}
+                 for key, per in results.items()}, sort_keys=True)
+
+        assert doc(serial) == doc(forked)
+        os_host = serial["2h.2t.1b"]["OSonly"].extra["host_counters"]
+        assert set(os_host) == {"host0", "host1"}
+        for counters in os_host.values():
+            pickle.dumps(counters)
+            assert all(type(v) is float for v in counters.values())
+            assert counters["cache.evicted_pages"] > 0 \
+                or counters["fill.os_ra_sync"] > 0
+
     def test_fleet_metrics_shape(self):
         out = run_fleet(_quick_config(n_hosts=2))
         metrics = out["metrics"]

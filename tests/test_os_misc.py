@@ -30,6 +30,17 @@ class TestInode:
         with pytest.raises(ValueError):
             inode.set_size(-1)
 
+    def test_set_size_resizes_only_when_block_count_changes(
+            self, kernel, monkeypatch):
+        inode = kernel.create_file("/a", 4 * KB)
+        resized = []
+        monkeypatch.setattr(inode.cache, "resize", resized.append)
+        inode.set_size(4 * KB - 100)
+        inode.set_size(4 * KB)
+        assert resized == [] and inode.nblocks == 1
+        inode.set_size(4 * KB + 1)
+        assert resized == [2] and inode.nblocks == 2
+
     def test_negative_size_rejected(self, kernel):
         with pytest.raises(ValueError):
             kernel.create_file("/bad", -5)

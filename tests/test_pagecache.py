@@ -96,3 +96,76 @@ class TestHooks:
         cache.evict_range(0, 8)
         assert inserts == [(0, 8)]
         assert evicts == [(0, 8)]
+
+
+class TestEvictionCounter:
+    """PageCache.evictions moves on every eviction that frees pages and
+    on no other call."""
+
+    def test_evict_chunk_moves_counter(self, inode):
+        cache = inode.cache
+        cache.insert_range(0, 64)
+        assert cache.evictions == 0
+        cache.evict_chunk(1)
+        assert cache.evictions == 1
+        cache.evict_chunk(1)        # already empty: no-op
+        cache.evict_chunk(10_000)   # beyond the file: no-op
+        assert cache.evictions == 1
+
+    def test_evict_range_moves_counter(self, inode):
+        cache = inode.cache
+        cache.insert_range(0, 100)
+        cache.evict_range(10, 20)
+        assert cache.evictions == 1
+        cache.evict_range(10, 20)   # already gone
+        cache.evict_range(0, 0)
+        assert cache.evictions == 1
+
+    def test_inserts_and_touches_leave_counter(self, inode):
+        cache = inode.cache
+        cache.insert_range(0, 100)
+        cache.touch_range(0, 100)
+        cache.clean_range(0, 100)
+        assert cache.evictions == 0
+
+    def test_fadvise_dontneed_moves_counter(self):
+        from repro.os.vfs import FADV_DONTNEED
+        from tests.conftest import drive
+        kernel = Kernel(memory_bytes=64 * MB, cross_enabled=False)
+        inode = kernel.create_file("/f", 1 * MB)
+        f = kernel.vfs.open_sync("/f")
+
+        def body():
+            yield from kernel.vfs.read(f, 0, 64 * 1024)
+            yield from kernel.vfs.fadvise(f, FADV_DONTNEED, 0, 64 * 1024)
+            moved = inode.cache.evictions
+            yield from kernel.vfs.fadvise(f, FADV_DONTNEED, 0, 64 * 1024)
+            return moved
+
+        assert drive(kernel, body()) == 1
+        assert inode.cache.evictions == 1
+        kernel.shutdown()
+
+
+class TestDirtyTotal:
+    """MemoryManager.dirty_pages is the running sum of every cache's
+    dirty pages."""
+
+    def test_tracks_insert_clean_and_evict(self, inode):
+        cache, mem = inode.cache, inode.cache.mem
+        cache.insert_range(0, 40, dirty=True)
+        cache.insert_range(30, 20, dirty=True)   # 10 overlap
+        assert mem.dirty_pages == cache.dirty_pages == 50
+        cache.clean_range(0, 10)
+        assert mem.dirty_pages == 40
+        cache.evict_range(40, 100)
+        assert mem.dirty_pages == cache.dirty_pages == 30
+        cache.evict_chunk(0)                     # blocks 0..31
+        assert mem.dirty_pages == cache.dirty_pages == 8
+
+    def test_shrink_drops_truncated_dirty_pages(self, inode):
+        cache, mem = inode.cache, inode.cache.mem
+        cache.insert_range(0, 64, dirty=True)
+        inode.set_size(16 * 4096)
+        assert mem.dirty_pages == cache.dirty_pages == 16
+        assert cache.evictions == 1

@@ -281,3 +281,53 @@ class TestFincore:
         kernel.sim.process(caller())
         kernel.run()
         assert kernel.registry.lock_stats("mm").contended >= 1
+
+
+class TestLookupRecheck:
+    """A read probes residency once, under the tree read lock, and
+    skips its fill when nothing was evicted by the end of its CPU
+    cost; an eviction in that window still forces the refill."""
+
+    def _setup(self, kernel):
+        inode = kernel.create_file("/a", 1 * MB)
+        f = kernel.vfs.open_sync("/a")
+        f.ra.set_random()   # demand fills only: no readahead I/O
+        drive(kernel, kernel.vfs.read(f, 0, 64 * KB))
+        cfg = kernel.config
+        cpu = cfg.syscall_overhead + 16 * (cfg.tree_walk_per_block
+                                           + cfg.copy_per_page)
+        return inode, f, cpu
+
+    def _read_with(self, kernel, f, side):
+        def body():
+            kernel.sim.process(side(), name="side")
+            return (yield from kernel.vfs.read(f, 0, 64 * KB))
+        return drive(kernel, body())
+
+    def test_eviction_inside_cpu_timeout_forces_refill(self, plain_kernel):
+        kernel = plain_kernel
+        inode, f, cpu = self._setup(kernel)
+        reads = kernel.device.stats.reads
+
+        def evictor():
+            yield kernel.sim.timeout(cpu / 2)
+            inode.cache.evict_range(4, 8)
+
+        result = self._read_with(kernel, f, evictor)
+        # Hits are counted at the lookup, before the eviction landed.
+        assert (result.hit_pages, result.miss_pages) == (16, 0)
+        assert kernel.device.stats.reads > reads
+        assert inode.cache.present.all_set(0, 16)
+
+    def test_resident_read_issues_no_io(self, plain_kernel):
+        kernel = plain_kernel
+        inode, f, cpu = self._setup(kernel)
+        reads = kernel.device.stats.reads
+
+        def toucher():
+            yield kernel.sim.timeout(cpu / 2)
+            inode.cache.touch_range(0, 16)
+
+        result = self._read_with(kernel, f, toucher)
+        assert (result.hit_pages, result.miss_pages) == (16, 0)
+        assert kernel.device.stats.reads == reads
